@@ -142,7 +142,11 @@ fn main() {
     eprintln!("[scaling] available_parallelism = {avail}, reps = {reps}, fast = {fast}");
 
     // ---- density transform: serial fused vs unfused, then thread sweep ----
-    let sizes: &[usize] = if fast { &[256, 512] } else { &[256, 512, 1024] };
+    let sizes: &[usize] = if fast {
+        &[256, 512]
+    } else {
+        &[64, 128, 256, 512, 1024]
+    };
     let mut density_json = JsonObject::new();
     let mut fused_512_serial = f64::NAN;
     for &n in sizes {

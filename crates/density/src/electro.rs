@@ -7,57 +7,23 @@
 //! (cells are pushed *down* the energy landscape, i.e. away from dense
 //! regions, by following `−∇D`).
 
-use crate::exec::ParallelExec;
-use crate::grid::{BinGrid, DensityMap};
+use crate::exec::{ParallelExec, SerialExec, MAX_PARTS};
+use crate::grid::{zeros, BinGrid, DensityMap};
 use crate::poisson::PoissonSolver;
-use mep_netlist::{CellId, Design, Netlist, Placement};
-use std::sync::{Arc, Mutex};
+use mep_netlist::{Design, Netlist, Placement};
+use std::sync::Arc;
 
-/// Below this movable-cell count the parallel gradient path is not worth
-/// the dispatch overhead; the serial loop runs instead.
-const PARALLEL_CELL_THRESHOLD: usize = 2048;
+/// Below this movable-cell count the footprint, splat and gather passes
+/// stay serial even with an executor: dispatch costs more than it saves.
+/// Measured, not guessed (DESIGN.md §17).
+const PARALLEL_CELL_THRESHOLD: usize = 1024;
 
-/// An installed executor plus the per-part state it dispatches over.
-///
-/// Bound to the netlist passed to [`Electrostatics::set_executor`]: the
-/// movable-cell list and its uniform partition are computed once there,
-/// and the per-part `(cell, dgx, dgy)` scratch vectors are pre-sized so
-/// the hot loop performs no allocations.
-#[derive(Debug)]
+/// An installed executor and the part count it dispatches.
+#[derive(Debug, Clone)]
 struct ExecHook {
     exec: Arc<dyn ParallelExec>,
+    parts: usize,
     netlist_instance: u64,
-    /// Movable cell indices, ascending.
-    movable: Vec<u32>,
-    /// Partition boundaries into `movable` (`parts + 1` entries).
-    part_start: Vec<u32>,
-    /// Per-part `(cell, dgx, dgy)` output; applied in part order, which is
-    /// ascending cell order, so results are identical to the serial loop.
-    scratch: Vec<Mutex<Vec<(u32, f64, f64)>>>,
-}
-
-impl Clone for ExecHook {
-    fn clone(&self) -> Self {
-        Self {
-            exec: Arc::clone(&self.exec),
-            netlist_instance: self.netlist_instance,
-            movable: self.movable.clone(),
-            part_start: self.part_start.clone(),
-            scratch: self
-                .scratch
-                .iter()
-                .map(|m| {
-                    // poison recovery: a scratch is plain buffer space, so a
-                    // clone of a poisoned one is still well-formed
-                    let guard = match m.lock() {
-                        Ok(g) => g,
-                        Err(p) => p.into_inner(),
-                    };
-                    Mutex::new(guard.clone())
-                })
-                .collect(),
-        }
-    }
 }
 
 /// Per-iteration density report.
@@ -83,6 +49,9 @@ pub struct Electrostatics {
     ey: Vec<f64>,
     bin_area: f64,
     exec: Option<ExecHook>,
+    /// Fingerprint of the placement of the last [`Electrostatics::update`]
+    /// (debug builds only; zero otherwise).
+    stamp: u64,
 }
 
 impl Electrostatics {
@@ -107,39 +76,37 @@ impl Electrostatics {
             solver,
             target_density: design.target_density,
             total_movable_area: design.netlist.total_movable_area(),
-            rho: vec![0.0; n],
-            psi: vec![0.0; n],
-            ex: vec![0.0; n],
-            ey: vec![0.0; n],
+            rho: zeros(n),
+            psi: zeros(n),
+            ex: zeros(n),
+            ey: zeros(n),
             bin_area,
             exec: None,
+            stamp: 0,
         }
     }
 
-    /// Installs a parallel executor for gradient accumulation, splitting
-    /// `netlist`'s movable cells into `parts` contiguous chunks with
-    /// per-part reusable scratch. Results are bit-identical to the serial
-    /// path (disjoint per-cell outputs, applied in a fixed order).
+    /// Installs a parallel executor for the density passes: the
+    /// footprint record and the gather split `netlist`'s movable cells
+    /// into `parts` contiguous ranges, the splat splits the grid into
+    /// `parts` row bands, and the spectral solver dispatches row batches.
+    /// Results are bit-identical to the serial path (DESIGN.md §17).
     pub fn set_executor(&mut self, exec: Arc<dyn ParallelExec>, parts: usize, netlist: &Netlist) {
-        let parts = parts.max(1);
-        // the spectral transforms dispatch row batches over the same pool
+        let parts = parts.clamp(1, MAX_PARTS);
         self.solver.set_executor(Arc::clone(&exec), parts);
-        let movable: Vec<u32> = netlist.movable_cells().map(|c| c.index() as u32).collect();
-        let n = movable.len();
-        let part_start = (0..=parts)
-            .map(|k| (n as u64 * k as u64 / parts as u64) as u32)
-            .collect();
-        let cap = n.div_ceil(parts);
-        let scratch = (0..parts)
-            .map(|_| Mutex::new(Vec::with_capacity(cap)))
-            .collect();
         self.exec = Some(ExecHook {
             exec,
+            parts,
             netlist_instance: netlist.instance_id(),
-            movable,
-            part_start,
-            scratch,
         });
+    }
+
+    /// The executor and part count for a density pass.
+    fn dispatch(exec: &Option<ExecHook>, movable: usize) -> (&dyn ParallelExec, usize) {
+        match exec {
+            Some(hook) if movable >= PARALLEL_CELL_THRESHOLD => (&*hook.exec, hook.parts),
+            _ => (&SerialExec, 1),
+        }
     }
 
     /// The bin grid in use.
@@ -166,12 +133,24 @@ impl Electrostatics {
 
     /// Rasterizes movable density and solves the field for `placement`.
     pub fn update(&mut self, netlist: &Netlist, placement: &Placement) -> DensityReport {
-        self.map.update_movable(netlist, placement);
-        self.map.total_into(&mut self.rho);
+        if let Some(hook) = &self.exec {
+            debug_assert_eq!(
+                hook.netlist_instance,
+                netlist.instance_id(),
+                "executor installed for a different netlist"
+            );
+        }
+        let (exec, parts) = Self::dispatch(&self.exec, self.map.num_movable());
+        self.map.rasterize(netlist, placement, exec, parts);
         // charge density (area per bin → dimensionless density)
         let inv = 1.0 / self.bin_area;
-        for r in self.rho.iter_mut() {
-            *r *= inv;
+        for ((r, &m), &f) in self
+            .rho
+            .iter_mut()
+            .zip(&self.map.movable)
+            .zip(&self.map.fixed)
+        {
+            *r = (m + f) * inv;
         }
         self.solver
             .solve(&self.rho, &mut self.psi, &mut self.ex, &mut self.ey);
@@ -186,6 +165,9 @@ impl Electrostatics {
         let overflow = self
             .map
             .overflow(self.target_density, self.total_movable_area);
+        if cfg!(debug_assertions) {
+            self.stamp = placement_stamp(placement);
+        }
         DensityReport { energy, overflow }
     }
 
@@ -196,8 +178,11 @@ impl Electrostatics {
     }
 
     /// Accumulates `∂D/∂x_i`, `∂D/∂y_i` for every movable cell into the
-    /// gradient buffers (fixed cells untouched). Must be called after
-    /// [`Electrostatics::update`].
+    /// gradient buffers (fixed cells untouched).
+    ///
+    /// Reads the footprints and field of the last
+    /// [`Electrostatics::update`], which must have been called with the
+    /// same `placement` (debug builds check this).
     ///
     /// # Panics
     ///
@@ -211,50 +196,14 @@ impl Electrostatics {
     ) {
         assert!(grad_x.len() >= netlist.num_cells());
         assert!(grad_y.len() >= netlist.num_cells());
-        let grid = self.map.grid();
-        if let Some(hook) = &self.exec {
-            debug_assert_eq!(
-                hook.netlist_instance,
-                netlist.instance_id(),
-                "executor installed for a different netlist"
-            );
-            if hook.movable.len() >= PARALLEL_CELL_THRESHOLD {
-                let parts = hook.scratch.len();
-                hook.exec.run(parts, &|p| {
-                    let mut buf = hook.scratch[p].lock().expect("density scratch lock");
-                    buf.clear();
-                    let lo = hook.part_start[p] as usize;
-                    let hi = hook.part_start[p + 1] as usize;
-                    for &cell_idx in &hook.movable[lo..hi] {
-                        let cell = CellId::from_usize(cell_idx as usize);
-                        let (rect, _scale) = grid.smoothed_footprint(netlist, placement, cell);
-                        let q = netlist.cell_area(cell);
-                        buf.push((
-                            cell_idx,
-                            -q * grid.gather(&rect, &self.ex),
-                            -q * grid.gather(&rect, &self.ey),
-                        ));
-                    }
-                });
-                // apply in part order = ascending cell order; each cell is
-                // written by exactly one part, so this matches the serial loop
-                for part in &hook.scratch {
-                    for &(c, dx, dy) in part.lock().expect("density scratch lock").iter() {
-                        grad_x[c as usize] += dx;
-                        grad_y[c as usize] += dy;
-                    }
-                }
-                return;
-            }
-        }
-        for cell in netlist.movable_cells() {
-            let (rect, _scale) = grid.smoothed_footprint(netlist, placement, cell);
-            let q = netlist.cell_area(cell);
-            // ∂D/∂x = −q·E_x  (the force is +qE; descending the objective
-            // moves the cell along the force)
-            grad_x[cell.index()] -= q * grid.gather(&rect, &self.ex);
-            grad_y[cell.index()] -= q * grid.gather(&rect, &self.ey);
-        }
+        debug_assert_eq!(
+            self.stamp,
+            placement_stamp(placement),
+            "accumulate_gradient must follow update at the same placement"
+        );
+        let (exec, parts) = Self::dispatch(&self.exec, self.map.num_movable());
+        self.map
+            .gather_gradient(netlist, &self.ex, &self.ey, grad_x, grad_y, exec, parts);
     }
 
     /// The potential field of the last solve (bin-major, `iy * nx + ix`).
@@ -266,6 +215,16 @@ impl Electrostatics {
     pub fn density(&self) -> &[f64] {
         &self.rho
     }
+}
+
+/// FNV-1a over the coordinate bits of `placement`, for the debug check
+/// that a gradient is gathered at the placement it was rasterized at.
+fn placement_stamp(placement: &Placement) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for v in placement.x.iter().chain(&placement.y) {
+        h = (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
 }
 
 #[cfg(test)]
@@ -355,57 +314,132 @@ mod tests {
         assert!(report.energy > 0.0);
     }
 
-    #[test]
-    fn executor_path_matches_serial_bitwise() {
-        // enough movable cells to cross PARALLEL_CELL_THRESHOLD
+    /// Placements of the oracle scenarios.
+    #[derive(Debug, Clone, Copy)]
+    enum Layout {
+        /// Every movable cell at the die center (the GP start).
+        Piled,
+        /// Pseudo-random over the die.
+        Spread,
+        /// Centers on, near and beyond every die edge and corner, plus one
+        /// cell so far off that its footprint collapses to zero area.
+        OffEdges,
+    }
+
+    /// A die of 128 × 96 with enough movable cells for the parallel path:
+    /// mostly sub-bin cells, every 97th cell wider than 4 bins, one large
+    /// movable macro, and fixed blocks (one hanging off the die).
+    fn scenario(layout: Layout, nx: usize, ny: usize) -> (Design, Placement, BinGrid) {
+        let n = PARALLEL_CELL_THRESHOLD + 500;
         let mut b = NetlistBuilder::new();
-        for i in 0..3000 {
-            b.add_cell(format!("c{i}"), 1.0, 1.0, true).unwrap();
+        for i in 0..n {
+            let (w, h) = match i {
+                0 => (41.0, 29.0),
+                _ if i % 97 == 0 => (23.5, 2.0),
+                _ => (1.0 + (i % 3) as f64, 1.0),
+            };
+            b.add_cell(format!("m{i}"), w, h, true).unwrap();
+        }
+        for (i, (w, h)) in [(10.0, 20.0), (30.0, 6.0), (12.0, 12.0)].iter().enumerate() {
+            b.add_cell(format!("f{i}"), *w, *h, false).unwrap();
         }
         let nl = b.build();
-        let design =
-            Design::with_uniform_rows("t", nl, Rect::new(0.0, 0.0, 128.0, 128.0), 1.0, 1.0, 1.0)
-                .unwrap();
-        let mut pl = Placement::zeros(3000);
-        for i in 0..3000 {
-            pl.x[i] = 4.0 + 120.0 * ((i as f64 * 0.37).sin() * 0.5 + 0.5);
-            pl.y[i] = 4.0 + 120.0 * ((i as f64 * 0.73).cos() * 0.5 + 0.5);
-        }
+        let die = Rect::new(0.0, 0.0, 128.0, 96.0);
+        let design = Design::with_uniform_rows("t", nl, die, 1.0, 1.0, 0.9).unwrap();
         let nl = &design.netlist;
-        let mut serial = Electrostatics::new(&design, &pl);
-        serial.update(nl, &pl);
-        let mut sx = vec![0.0; 3000];
-        let mut sy = vec![0.0; 3000];
-        serial.accumulate_gradient(nl, &pl, &mut sx, &mut sy);
-
-        let mut hooked = Electrostatics::new(&design, &pl);
-        hooked.set_executor(Arc::new(crate::exec::SerialExec), 4, nl);
-        hooked.update(nl, &pl);
-        let mut hx = vec![0.0; 3000];
-        let mut hy = vec![0.0; 3000];
-        hooked.accumulate_gradient(nl, &pl, &mut hx, &mut hy);
-
-        for i in 0..3000 {
-            assert_eq!(sx[i].to_bits(), hx[i].to_bits(), "gx[{i}]");
-            assert_eq!(sy[i].to_bits(), hy[i].to_bits(), "gy[{i}]");
+        let mut pl = Placement::zeros(nl.num_cells());
+        let fixed_at = [(5.0, 60.0), (70.0, 10.0), (120.0, 90.0)];
+        for (k, cell) in nl.fixed_cells().enumerate() {
+            pl.x[cell.index()] = fixed_at[k].0;
+            pl.y[cell.index()] = fixed_at[k].1;
         }
-        // scratch buffers are reused: a second call must not grow them
-        let caps: Vec<usize> = hooked
-            .exec
-            .as_ref()
-            .unwrap()
-            .scratch
-            .iter()
-            .map(|m| m.lock().unwrap().capacity())
-            .collect();
-        hooked.accumulate_gradient(nl, &pl, &mut hx, &mut hy);
-        for (p, m) in hooked.exec.as_ref().unwrap().scratch.iter().enumerate() {
-            assert_eq!(
-                m.lock().unwrap().capacity(),
-                caps[p],
-                "part {p} reallocated"
-            );
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut unit = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for (i, cell) in nl.movable_cells().enumerate() {
+            let (cx, cy) = match layout {
+                Layout::Piled => (64.0, 48.0),
+                Layout::Spread => (128.0 * unit(), 96.0 * unit()),
+                Layout::OffEdges if i == 1 => (1e300, -1e300),
+                Layout::OffEdges => {
+                    // an edge coordinate, jittered within ±3 of it
+                    let along = unit();
+                    let off = 6.0 * unit() - 3.0;
+                    match i % 4 {
+                        0 => (off, 96.0 * along),
+                        1 => (128.0 + off, 96.0 * along),
+                        2 => (128.0 * along, off),
+                        _ => (128.0 * along, 96.0 + off),
+                    }
+                }
+            };
+            pl.set_center(nl, cell, (cx, cy).into());
         }
+        (design, pl, BinGrid::new(die, nx, ny))
+    }
+
+    /// Rho, energy, overflow and both gradients of the fused kernel equal
+    /// the per-rect oracle bit for bit, serially and at 1/2/8 parts.
+    #[test]
+    fn fused_kernel_matches_per_rect_oracle_bitwise() {
+        for (nx, ny) in [(32, 32), (64, 16)] {
+            for layout in [Layout::Piled, Layout::Spread, Layout::OffEdges] {
+                let (design, pl, grid) = scenario(layout, nx, ny);
+                let nl = &design.netlist;
+                let grad0: Vec<f64> = (0..nl.num_cells())
+                    .map(|i| (i as f64 * 0.37).sin())
+                    .collect();
+                let want = crate::oracle::evaluate(&design, &pl, &grid, &grad0);
+                for parts in [0, 1, 2, 8] {
+                    let ctx = format!("{layout:?} {nx}x{ny} parts={parts}");
+                    let mut es = Electrostatics::with_grid(&design, &pl, grid.clone());
+                    if parts > 0 {
+                        es.set_executor(
+                            Arc::new(crate::oracle::ThreadsExec { threads: parts }),
+                            parts,
+                            nl,
+                        );
+                    }
+                    let report = es.update(nl, &pl);
+                    let (mut gx, mut gy) = (grad0.clone(), grad0.clone());
+                    es.accumulate_gradient(nl, &pl, &mut gx, &mut gy);
+                    assert_eq!(
+                        report.energy.to_bits(),
+                        want.energy.to_bits(),
+                        "{ctx}: energy"
+                    );
+                    assert_eq!(
+                        report.overflow.to_bits(),
+                        want.overflow.to_bits(),
+                        "{ctx}: overflow"
+                    );
+                    for (b, (got, exp)) in es.density().iter().zip(&want.rho).enumerate() {
+                        assert_eq!(got.to_bits(), exp.to_bits(), "{ctx}: rho[{b}]");
+                    }
+                    for i in 0..nl.num_cells() {
+                        assert_eq!(gx[i].to_bits(), want.grad_x[i].to_bits(), "{ctx}: gx[{i}]");
+                        assert_eq!(gy[i].to_bits(), want.grad_y[i].to_bits(), "{ctx}: gy[{i}]");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "same placement")]
+    fn gradient_at_another_placement_is_caught_in_debug_builds() {
+        let (design, pl) = two_cell_design(12.0, 18.0);
+        let mut es = Electrostatics::with_grid(&design, &pl, BinGrid::new(design.die, 32, 32));
+        es.update(&design.netlist, &pl);
+        let mut moved = pl.clone();
+        moved.x[0] += 1.0;
+        let (mut gx, mut gy) = (vec![0.0; 2], vec![0.0; 2]);
+        es.accumulate_gradient(&design.netlist, &moved, &mut gx, &mut gy);
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! an executor (or with [`SerialExec`]) everything runs serially on the
 //! calling thread.
 
+use std::sync::{Mutex, PoisonError};
+
 /// A deterministic part-dispatch primitive.
 ///
 /// Implementations must execute `f(part)` exactly once for every part in
@@ -29,6 +31,41 @@ pub fn part_bounds(items: usize, parts: usize, part: usize) -> (usize, usize) {
     let lo = (items as u128 * part as u128 / parts as u128) as usize;
     let hi = (items as u128 * (part as u128 + 1) / parts as u128) as usize;
     (lo, hi)
+}
+
+/// Most parts [`run_owned`] hands out in one dispatch; executors asking for
+/// more are capped here (bits never depend on the part count).
+pub(crate) const MAX_PARTS: usize = 64;
+
+/// Runs `f` once per part on `exec`, handing part `p` exclusive ownership
+/// of `piece(p)` — typically disjoint `&mut` sub-slices of one output.
+///
+/// `piece` is called for `p = 0, 1, …, parts - 1` in order before any `f`
+/// runs, so it may split a buffer progressively. With one part `f` runs
+/// directly on the calling thread and `exec` is not consulted. The
+/// pieces live in a fixed stack array: nothing is allocated.
+pub(crate) fn run_owned<T: Send>(
+    exec: &dyn ParallelExec,
+    parts: usize,
+    mut piece: impl FnMut(usize) -> T,
+    f: &(dyn Fn(T) + Sync),
+) {
+    let parts = parts.clamp(1, MAX_PARTS);
+    if parts == 1 {
+        f(piece(0));
+        return;
+    }
+    let slots: [Mutex<Option<T>>; MAX_PARTS] =
+        std::array::from_fn(|p| Mutex::new((p < parts).then(|| piece(p))));
+    exec.run(parts, &|p| {
+        // a slot is plain data; a poisoned lock still holds a valid piece
+        let taken = slots
+            .get(p)
+            .and_then(|s| s.lock().unwrap_or_else(PoisonError::into_inner).take());
+        if let Some(t) = taken {
+            f(t);
+        }
+    });
 }
 
 /// The trivial executor: ascending part order on the calling thread.

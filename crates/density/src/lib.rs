@@ -38,6 +38,8 @@ pub mod electro;
 pub mod exec;
 pub mod fft;
 pub mod grid;
+#[cfg(test)]
+mod oracle;
 pub mod poisson;
 pub mod transform;
 

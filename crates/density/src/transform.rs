@@ -739,7 +739,9 @@ impl TransformStats {
 
 /// Below this element count parallel row dispatch is not worth the
 /// synchronization; [`Spectral2d`] stays serial even with an executor.
-pub const PARALLEL_GRID_THRESHOLD: usize = 4096;
+/// Measured on a 2-core host (DESIGN.md §13): a 64² solve is 1.6–2.6×
+/// slower on two threads; from 128² up the in-placement solve is not.
+pub const PARALLEL_GRID_THRESHOLD: usize = 128 * 128;
 
 /// Planned separable 2-D transform engine for one fixed `rows × cols` grid.
 ///
@@ -1422,7 +1424,7 @@ mod tests {
 
     #[test]
     fn spectral2d_serial_executor_is_bitwise_identical() {
-        let (rows, cols) = (64usize, 64usize); // 4096 elements: meets threshold
+        let (rows, cols) = (128usize, 128usize); // meets PARALLEL_GRID_THRESHOLD
         let x = rand_seq(rows * cols, 77);
         let mut serial = Spectral2d::new(rows, cols);
         let mut dispatched = Spectral2d::new(rows, cols);

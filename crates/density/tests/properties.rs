@@ -131,22 +131,6 @@ proptest! {
         prop_assert!((total - scale * rect.area()).abs() < 1e-9 * (1.0 + rect.area()));
     }
 
-    /// `gather` is the area-weighted adjoint of `splat`: for any field F
-    /// and rect R, `gather(R, F) · area(R) = Σ_b F_b · overlap(R, b)`,
-    /// hence gathering a constant field returns the constant.
-    #[test]
-    fn gather_adjoint_identity(
-        xl in 0.0f64..8.0, yl in 0.0f64..8.0,
-        w in 0.05f64..4.0, h in 0.05f64..4.0,
-        c in -5.0f64..5.0,
-    ) {
-        let die = Rect::new(0.0, 0.0, 12.0, 12.0);
-        let grid = BinGrid::new(die, 16, 16);
-        let rect = Rect::from_origin_size(xl, yl, w, h);
-        let field = vec![c; grid.len()];
-        prop_assert!((grid.gather(&rect, &field) - c).abs() < 1e-9 * (1.0 + c.abs()));
-    }
-
     /// Poisson solve is linear: solve(aρ1 + bρ2) = a·solve(ρ1) + b·solve(ρ2).
     #[test]
     fn poisson_is_linear(seed in 0u64..200, a in -2.0f64..2.0, b in -2.0f64..2.0) {

@@ -50,7 +50,7 @@ fn test_grid(rows: usize, cols: usize, seed: u64) -> Vec<f64> {
 
 #[test]
 fn transform_2d_bit_identical_across_thread_counts() {
-    // 128×128 = 16384 elements: well past PARALLEL_GRID_THRESHOLD
+    // 128×128 = 16384 elements: meets PARALLEL_GRID_THRESHOLD
     let (rows, cols) = (128usize, 128usize);
     let pairs = [
         (Kind::Dct2, Kind::Dct2),
@@ -153,7 +153,7 @@ fn fused_sweeps_bit_identical_to_unfused_across_sizes_and_threads() {
 /// The unfused reference itself must stay thread-count invariant too.
 #[test]
 fn unfused_sweeps_bit_identical_across_thread_counts() {
-    let (rows, cols) = (128usize, 64usize);
+    let (rows, cols) = (128usize, 128usize);
     let x = test_grid(rows, cols, 55);
     let mut reference = Spectral2d::new(rows, cols);
     let mut want = x.clone();

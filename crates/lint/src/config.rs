@@ -60,6 +60,9 @@ impl Default for Config {
                 "crates/density/src/transform.rs",
                 "crates/density/src/fft.rs",
                 "crates/density/src/poisson.rs",
+                // the fused footprint / splat / gather density kernel
+                "crates/density/src/grid.rs",
+                "crates/density/src/electro.rs",
                 // the daemon's admission queue: steady-state scheduling
                 // must never allocate (backpressure, not buffer growth)
                 "crates/serve/src/queue.rs",

@@ -29,11 +29,12 @@ use crate::global::{place_with_engine, GlobalConfig};
 use crate::guard::Termination;
 use crate::pipeline::{run_with_engine, PipelineConfig, PipelineResult};
 use crate::quadratic::{place_b2b, place_b2b_anchored, AnchorSet, B2bConfig};
+use crate::telemetry::export_engine_stats;
 use mep_netlist::bookshelf::BookshelfCircuit;
 use mep_netlist::cluster::{coarsen, ClusterConfig, Coarsened};
 use mep_netlist::{total_hpwl, Placement, Rect};
 use mep_obs::{Registry, RunReport};
-use mep_wirelength::engine::EvalEngine;
+use mep_wirelength::engine::{EngineStats, EvalEngine};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -128,7 +129,8 @@ pub struct LevelStats {
 pub struct MultilevelResult {
     /// The finest-level pipeline result (legal placement, tables metrics,
     /// recovery log). Its [`report`](PipelineResult::report) additionally
-    /// carries the `ml.*` multilevel metrics.
+    /// carries the `ml.*` multilevel metrics, and its `engine_stats` (and
+    /// the report's `engine.*` metrics) are summed over every level.
     pub result: PipelineResult,
     /// Levels actually placed (≤ the configured count when coarsening
     /// stopped early).
@@ -221,6 +223,8 @@ pub fn run_multilevel_with_engine(
     let levels = stack.len() + 1;
 
     let mut level_stats: Vec<LevelStats> = Vec::new();
+    // engine counters of every global placement the flow runs, summed
+    let mut engine_stats = EngineStats::default();
     let metrics = Registry::new();
     metrics.counter("ml.levels").add(levels as u64);
 
@@ -271,6 +275,7 @@ pub fn run_multilevel_with_engine(
             level_circuit.placement = lb_placement;
             let gcfg = coarse_global(config, coarsest, "warm-ub", ub_budget);
             let ub = place_with_engine(&level_circuit, &gcfg, Arc::clone(&engine))?;
+            engine_stats.accumulate(&ub.engine_stats);
             coarsest_iters += ub.iterations;
             coarsest_overflow = ub.overflow;
             level_circuit.placement = ub.placement;
@@ -283,6 +288,7 @@ pub fn run_multilevel_with_engine(
         // cold coarse run (warm start disabled or LB degenerate)
         let gcfg = coarse_global(config, coarsest, "coarse", config.coarse_iters);
         let gp = place_with_engine(&level_circuit, &gcfg, Arc::clone(&engine))?;
+        engine_stats.accumulate(&gp.engine_stats);
         coarsest_iters = gp.iterations;
         coarsest_overflow = gp.overflow;
         level_circuit.placement = gp.placement;
@@ -316,6 +322,7 @@ pub fn run_multilevel_with_engine(
         let mut gcfg = coarse_global(config, k, "coarse", config.coarse_iters);
         gcfg.lambda_scale = config.warm_lambda_scale;
         let gp = place_with_engine(&level_circuit, &gcfg, Arc::clone(&engine))?;
+        engine_stats.accumulate(&gp.engine_stats);
         level_stats.push(LevelStats {
             level: k,
             movable: level_circuit.design.netlist.num_movable(),
@@ -374,6 +381,10 @@ pub fn run_multilevel_with_engine(
         metrics.gauge(&format!("{p}.overflow")).set(s.overflow);
         metrics.gauge(&format!("{p}.rt_seconds")).set(s.rt_seconds);
     }
+    engine_stats.accumulate(&result.engine_stats);
+    engine_stats.threads = result.engine_stats.threads;
+    result.engine_stats = engine_stats;
+    export_engine_stats(&metrics, &engine_stats);
     result.report.merge_registry(&metrics);
 
     Ok(MultilevelResult {
@@ -561,6 +572,37 @@ mod tests {
         let r = run_multilevel(&c, &cfg).unwrap();
         assert_eq!(r.result.termination, Termination::Cancelled);
         assert_eq!(r.result.violations, 0);
+    }
+
+    #[test]
+    fn multilevel_engine_counters_sum_the_levels_of_this_run() {
+        let c = synth::generate(&synth::smoke_clustered_spec());
+        let mut cfg = MultilevelConfig {
+            levels: 2,
+            coarse_iters: 60,
+            ..MultilevelConfig::default()
+        };
+        cfg.pipeline.global.threads = 1;
+        cfg.pipeline.global.max_iters = 60;
+        let engine = Arc::new(EvalEngine::new(1));
+        let first = run_multilevel_with_engine(&c, &cfg, Arc::clone(&engine)).unwrap();
+        assert!(first.levels >= 2, "flow must actually coarsen");
+        let whole = engine.stats();
+        let got = first.result.engine_stats;
+        assert_eq!(
+            got.wl_grad.count, whole.wl_grad.count,
+            "{got:?} vs {whole:?}"
+        );
+        assert_eq!(got.density.count, whole.density.count);
+        assert_eq!(got.serial_runs, whole.serial_runs);
+        assert_eq!(
+            first.result.report.counter("engine.wl_grad.count"),
+            Some(whole.wl_grad.count)
+        );
+        // a second flow on the same engine reports only itself
+        let second = run_multilevel_with_engine(&c, &cfg, Arc::clone(&engine)).unwrap();
+        assert_eq!(second.result.engine_stats.wl_grad.count, got.wl_grad.count);
+        assert_eq!(second.result.engine_stats.density.count, got.density.count);
     }
 
     #[test]

@@ -189,7 +189,8 @@ pub struct GlobalResult {
     pub iterations: usize,
     /// Per-iteration `(HPWL, φ)` samples when recording was enabled.
     pub trajectory: Vec<TrajectoryPoint>,
-    /// Evaluation-engine instrumentation (spawns, eval counts, stage times).
+    /// Evaluation-engine instrumentation (spawns, eval counts, stage
+    /// times) accumulated by this run alone, even on a shared engine.
     pub engine_stats: EngineStats,
     /// Spectral-transform kernel instrumentation (which kernels ran: lane
     /// tiles, scalar fallback lines, transposes) for the density solver.
@@ -253,6 +254,8 @@ pub fn place_with_engine(
     engine: Arc<EvalEngine>,
 ) -> Result<GlobalResult, PlacerError> {
     validate_circuit(circuit)?;
+    // the engine may be shared: report only what this run adds
+    let engine_at_start = engine.stats();
     // lint:allow(determinism): the wall-clock budget is an explicit opt-in termination criterion (GlobalConfig::time_budget); its nondeterminism is documented
     let start = Instant::now();
     let design = &circuit.design;
@@ -526,7 +529,7 @@ pub fn place_with_engine(
         overflow,
         iterations,
         trajectory,
-        engine_stats: engine.stats(),
+        engine_stats: engine.stats().since(&engine_at_start),
         transform_stats: problem.electrostatics().transform_stats(),
         recovery: monitor.into_log(),
         termination,
@@ -633,6 +636,42 @@ mod tests {
         assert_eq!(s.spawned_threads, 0, "1-thread config must not spawn");
         assert_eq!(s.workspace_allocs, 1, "workspace built once, then reused");
         assert!(s.wl_grad.nanos > 0 && s.density.nanos > 0);
+    }
+
+    #[test]
+    fn runs_sharing_an_engine_each_report_their_own_counters() {
+        let c = synth::generate(&synth::smoke_spec());
+        let mut cfg = smoke_config(ModelKind::Moreau);
+        cfg.max_iters = 30;
+        cfg.record_trajectory = false;
+        // a threshold of 1 sends every wirelength evaluation to the pool
+        let engine = || Arc::new(EvalEngine::new(2).with_parallel_threshold(1));
+        let counts = |s: EngineStats| {
+            (
+                s.parallel_runs,
+                s.serial_runs,
+                s.workspace_allocs,
+                s.wl_grad.count,
+                s.wl_value.count,
+                s.density.count,
+                s.density_transform.count,
+            )
+        };
+        let fresh = place_with_engine(&c, &cfg, engine()).unwrap().engine_stats;
+        assert!(fresh.parallel_runs > 0, "{fresh:?}");
+        assert_eq!(fresh.spawned_threads, 1);
+        let shared = engine();
+        let first = place_with_engine(&c, &cfg, Arc::clone(&shared))
+            .unwrap()
+            .engine_stats;
+        let second = place_with_engine(&c, &cfg, Arc::clone(&shared))
+            .unwrap()
+            .engine_stats;
+        assert_eq!(counts(first), counts(fresh));
+        assert_eq!(counts(second), counts(fresh));
+        assert_eq!(first.spawned_threads, 1);
+        assert_eq!(second.spawned_threads, 0, "the pool outlives the first run");
+        assert_eq!(shared.stats().wl_grad.count, 2 * fresh.wl_grad.count);
     }
 
     #[test]

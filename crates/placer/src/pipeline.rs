@@ -53,7 +53,8 @@ pub struct PipelineResult {
     pub placement: Placement,
     /// Legality violations in the final placement (must be empty).
     pub violations: usize,
-    /// Evaluation-engine instrumentation for the global-placement stage.
+    /// Evaluation-engine instrumentation of this run's global-placement
+    /// stage alone (not process totals of a shared engine).
     pub engine_stats: EngineStats,
     /// Every recovery the numerical guard performed during GP (empty on a
     /// clean run).

@@ -108,6 +108,25 @@ pub(crate) struct ReportInputs<'a> {
     pub dp_disp: DispHistogram,
 }
 
+/// Writes the `engine.*` metrics (evaluation-engine stage timings and
+/// dispatch counters of one run) into `r`.
+pub(crate) fn export_engine_stats(r: &Registry, e: &EngineStats) {
+    for (name, stage) in [
+        ("engine.wl_grad", &e.wl_grad),
+        ("engine.wl_value", &e.wl_value),
+        ("engine.density", &e.density),
+        ("engine.density_transform", &e.density_transform),
+    ] {
+        r.counter(&format!("{name}.count")).add(stage.count);
+        r.gauge(&format!("{name}.seconds"))
+            .set(stage.nanos as f64 * 1e-9);
+    }
+    r.counter("engine.spawned_threads").add(e.spawned_threads);
+    r.counter("engine.workspace_allocs").add(e.workspace_allocs);
+    r.counter("engine.parallel_runs").add(e.parallel_runs);
+    r.counter("engine.serial_runs").add(e.serial_runs);
+}
+
 /// Builds the end-of-run [`RunReport`] from one pipeline run's stage
 /// outputs. Metric names are stable — they are the JSONL/report schema
 /// documented in DESIGN.md §10.
@@ -129,22 +148,7 @@ pub(crate) fn build_run_report(inputs: &ReportInputs<'_>) -> RunReport {
     r.gauge("gp.overflow").set(inputs.overflow);
     r.counter("flow.violations").add(inputs.violations as u64);
 
-    // evaluation-engine stage timings (formerly only on EngineStats)
-    let e = inputs.engine;
-    for (name, stage) in [
-        ("engine.wl_grad", &e.wl_grad),
-        ("engine.wl_value", &e.wl_value),
-        ("engine.density", &e.density),
-        ("engine.density_transform", &e.density_transform),
-    ] {
-        r.counter(&format!("{name}.count")).add(stage.count);
-        r.gauge(&format!("{name}.seconds"))
-            .set(stage.nanos as f64 * 1e-9);
-    }
-    r.counter("engine.spawned_threads").add(e.spawned_threads);
-    r.counter("engine.workspace_allocs").add(e.workspace_allocs);
-    r.counter("engine.parallel_runs").add(e.parallel_runs);
-    r.counter("engine.serial_runs").add(e.serial_runs);
+    export_engine_stats(&r, inputs.engine);
 
     // spectral-kernel counters: which transform kernels actually ran
     // (DESIGN.md §13 — fused lane tiles vs scalar fallback vs transposes)

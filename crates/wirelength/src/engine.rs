@@ -157,6 +157,55 @@ pub struct EngineStats {
     pub density_transform: StageStats,
 }
 
+impl StageStats {
+    /// What was added between `earlier` and `self` (saturating).
+    fn since(&self, earlier: &StageStats) -> StageStats {
+        StageStats {
+            count: self.count.saturating_sub(earlier.count),
+            nanos: self.nanos.saturating_sub(earlier.nanos),
+        }
+    }
+}
+
+impl EngineStats {
+    /// Adds the counters of `other` (another run on the same engine) to
+    /// these, e.g. to report a multi-stage flow as the sum of its stages.
+    pub fn accumulate(&mut self, other: &EngineStats) {
+        self.spawned_threads += other.spawned_threads;
+        self.parallel_runs += other.parallel_runs;
+        self.serial_runs += other.serial_runs;
+        self.workspace_allocs += other.workspace_allocs;
+        for (a, b) in [
+            (&mut self.wl_grad, &other.wl_grad),
+            (&mut self.wl_value, &other.wl_value),
+            (&mut self.density, &other.density),
+            (&mut self.density_transform, &other.density_transform),
+        ] {
+            a.count += b.count;
+            a.nanos += b.nanos;
+        }
+    }
+
+    /// The counters accumulated between the snapshot `earlier` and this
+    /// one: what one run on a shared engine did. `threads` is kept as is;
+    /// every counter is the (saturating) difference.
+    pub fn since(&self, earlier: &EngineStats) -> EngineStats {
+        EngineStats {
+            threads: self.threads,
+            spawned_threads: self.spawned_threads.saturating_sub(earlier.spawned_threads),
+            parallel_runs: self.parallel_runs.saturating_sub(earlier.parallel_runs),
+            serial_runs: self.serial_runs.saturating_sub(earlier.serial_runs),
+            workspace_allocs: self
+                .workspace_allocs
+                .saturating_sub(earlier.workspace_allocs),
+            wl_grad: self.wl_grad.since(&earlier.wl_grad),
+            wl_value: self.wl_value.since(&earlier.wl_value),
+            density: self.density.since(&earlier.density),
+            density_transform: self.density_transform.since(&earlier.density_transform),
+        }
+    }
+}
+
 #[derive(Debug, Default)]
 struct StageCounter {
     count: AtomicU64,
@@ -577,6 +626,29 @@ mod tests {
         assert_eq!(s.wl_value.count, 0);
         engine.reset_stats();
         assert_eq!(engine.stats().wl_grad.count, 0);
+    }
+
+    #[test]
+    fn since_reports_only_what_happened_after_the_snapshot() {
+        let engine = EvalEngine::new(2);
+        engine.time_stage(Stage::WlGrad, || {});
+        engine.run(4, &|_| {});
+        let before = engine.stats();
+        engine.time_stage(Stage::Density, || {});
+        engine.run(1, &|_| {});
+        engine.note_workspace_alloc();
+        let d = engine.stats().since(&before);
+        assert_eq!(d.threads, 2);
+        assert_eq!(d.spawned_threads, 0, "the pool was already up");
+        assert_eq!((d.parallel_runs, d.serial_runs), (0, 1));
+        assert_eq!(d.workspace_allocs, 1);
+        assert_eq!((d.wl_grad.count, d.wl_grad.nanos), (0, 0));
+        assert_eq!(d.density.count, 1);
+        let mut sum = before;
+        sum.accumulate(&d);
+        assert_eq!(sum, engine.stats(), "earlier + delta = now");
+        // a snapshot taken later than `self` saturates instead of wrapping
+        assert_eq!(before.since(&engine.stats()).density.count, 0);
     }
 
     #[test]
