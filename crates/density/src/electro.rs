@@ -92,11 +92,10 @@ impl Electrostatics {
     /// `parts` row bands, and the spectral solver dispatches row batches.
     /// Results are bit-identical to the serial path (DESIGN.md §17).
     pub fn set_executor(&mut self, exec: Arc<dyn ParallelExec>, parts: usize, netlist: &Netlist) {
-        let parts = parts.clamp(1, MAX_PARTS);
-        self.solver.set_executor(Arc::clone(&exec), parts);
+        self.solver.set_executor(Arc::clone(&exec), parts.max(1));
         self.exec = Some(ExecHook {
             exec,
-            parts,
+            parts: parts.clamp(1, MAX_PARTS),
             netlist_instance: netlist.instance_id(),
         });
     }
