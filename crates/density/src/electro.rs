@@ -8,7 +8,7 @@
 //! regions, by following `−∇D`).
 
 use crate::exec::{ParallelExec, SerialExec, MAX_PARTS};
-use crate::grid::{zeros, BinGrid, DensityMap};
+use crate::grid::{BinGrid, DensityMap};
 use crate::poisson::PoissonSolver;
 use mep_netlist::{Design, Netlist, Placement};
 use std::sync::Arc;
@@ -76,10 +76,14 @@ impl Electrostatics {
             solver,
             target_density: design.target_density,
             total_movable_area: design.netlist.total_movable_area(),
-            rho: zeros(n),
-            psi: zeros(n),
-            ex: zeros(n),
-            ey: zeros(n),
+            // lint:allow(no-alloc-hot): set-up, once per design
+            rho: vec![0.0; n],
+            // lint:allow(no-alloc-hot): set-up, once per design
+            psi: vec![0.0; n],
+            // lint:allow(no-alloc-hot): set-up, once per design
+            ex: vec![0.0; n],
+            // lint:allow(no-alloc-hot): set-up, once per design
+            ey: vec![0.0; n],
             bin_area,
             exec: None,
             stamp: 0,

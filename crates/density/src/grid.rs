@@ -265,7 +265,10 @@ impl Footprints {
         // lint:allow(no-alloc-hot): set-up, once per design
         let cells: Vec<u32> = netlist.movable_cells().map(|c| c.index() as u32).collect();
         let n = cells.len();
-        let (mut xo, mut yo) = (zeros::<u32>(n + 1), zeros::<u32>(n + 1));
+        // lint:allow(no-alloc-hot): set-up, once per design
+        let mut xo = vec![0u32; n + 1];
+        // lint:allow(no-alloc-hot): set-up, once per design
+        let mut yo = vec![0u32; n + 1];
         let (mut nx_total, mut ny_total) = (0u32, 0u32);
         for (k, &c) in cells.iter().enumerate() {
             let (ew, eh, _) = grid.smoothed_size(netlist, CellId::from_usize(c as usize));
@@ -284,12 +287,16 @@ impl Footprints {
         yo[n] = ny_total;
         Self {
             cells,
-            span: zeros(n),
+            // lint:allow(no-alloc-hot): set-up, once per design
+            span: vec![Span::default(); n],
             xo,
             yo,
-            wx: zeros(nx_total as usize),
-            wy: zeros(ny_total as usize),
-            row_work: zeros(grid.ny),
+            // lint:allow(no-alloc-hot): set-up, once per design
+            wx: vec![0.0; nx_total as usize],
+            // lint:allow(no-alloc-hot): set-up, once per design
+            wy: vec![0.0; ny_total as usize],
+            // lint:allow(no-alloc-hot): set-up, once per design
+            row_work: vec![0; grid.ny],
         }
     }
 
@@ -553,12 +560,6 @@ impl RecordPiece<'_> {
     }
 }
 
-/// A zero-filled buffer (set-up allocations only).
-pub(crate) fn zeros<T: Clone + Default>(n: usize) -> Vec<T> {
-    // lint:allow(no-alloc-hot): set-up, once per design
-    vec![T::default(); n]
-}
-
 /// Movable and fixed density maps over a [`BinGrid`].
 #[derive(Debug, Clone)]
 pub struct DensityMap {
@@ -574,7 +575,8 @@ impl DensityMap {
     /// Builds the map for `netlist`'s movable cells and rasterizes the
     /// fixed cells from `placement`.
     pub fn new(grid: BinGrid, netlist: &Netlist, placement: &Placement) -> Self {
-        let mut fixed = zeros(grid.len());
+        // lint:allow(no-alloc-hot): set-up, once per design
+        let mut fixed = vec![0.0; grid.len()];
         for cell in netlist.fixed_cells() {
             let rect = placement.cell_rect(netlist, cell);
             if rect.area() > 0.0 {
@@ -582,7 +584,8 @@ impl DensityMap {
             }
         }
         Self {
-            movable: zeros(grid.len()),
+            // lint:allow(no-alloc-hot): set-up, once per design
+            movable: vec![0.0; grid.len()],
             fixed,
             foot: Footprints::new(&grid, netlist),
             grid,

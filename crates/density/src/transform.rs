@@ -739,9 +739,10 @@ impl TransformStats {
 
 /// Below this element count parallel row dispatch is not worth the
 /// synchronization; [`Spectral2d`] stays serial even with an executor.
-/// Measured on a 2-core host (DESIGN.md §13): a 64² solve is 1.6–2.6×
-/// slower on two threads; from 128² up the in-placement solve is not.
-pub const PARALLEL_GRID_THRESHOLD: usize = 128 * 128;
+/// Measured on a 2-core host (DESIGN.md §13): a 512² solve was faster on
+/// two threads in every run, while 64² was always slower and 128² and
+/// 256² were slower in some runs.
+pub const PARALLEL_GRID_THRESHOLD: usize = 512 * 512;
 
 /// Planned separable 2-D transform engine for one fixed `rows × cols` grid.
 ///
@@ -1424,7 +1425,7 @@ mod tests {
 
     #[test]
     fn spectral2d_serial_executor_is_bitwise_identical() {
-        let (rows, cols) = (128usize, 128usize); // meets PARALLEL_GRID_THRESHOLD
+        let (rows, cols) = (512usize, 512usize); // meets PARALLEL_GRID_THRESHOLD
         let x = rand_seq(rows * cols, 77);
         let mut serial = Spectral2d::new(rows, cols);
         let mut dispatched = Spectral2d::new(rows, cols);

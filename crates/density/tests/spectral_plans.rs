@@ -6,7 +6,7 @@
 //! depend on the wirelength crate's engine; any [`ParallelExec`] must give
 //! identical results, which is exactly what this test pins down).
 
-use mep_density::transform::{Kind, Spectral2d};
+use mep_density::transform::{Kind, Spectral2d, PARALLEL_GRID_THRESHOLD};
 use mep_density::{ParallelExec, PoissonSolver, SerialExec};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -14,13 +14,30 @@ use std::sync::Arc;
 /// A genuinely multi-threaded executor: `threads` scoped workers claim
 /// parts dynamically from a shared counter, so part-to-thread assignment
 /// varies run to run — which is the point: outputs must not depend on it.
+/// It counts its dispatches, so a test can check it reached the parallel
+/// path.
 #[derive(Debug)]
 struct ThreadsExec {
     threads: usize,
+    runs: AtomicUsize,
+}
+
+impl ThreadsExec {
+    fn new(threads: usize) -> Arc<Self> {
+        Arc::new(Self {
+            threads,
+            runs: AtomicUsize::new(0),
+        })
+    }
+
+    fn runs(&self) -> usize {
+        self.runs.load(Ordering::Relaxed)
+    }
 }
 
 impl ParallelExec for ThreadsExec {
     fn run(&self, parts: usize, f: &(dyn Fn(usize) + Sync)) {
+        self.runs.fetch_add(1, Ordering::Relaxed);
         let next = AtomicUsize::new(0);
         std::thread::scope(|s| {
             for _ in 0..self.threads.min(parts) {
@@ -50,8 +67,8 @@ fn test_grid(rows: usize, cols: usize, seed: u64) -> Vec<f64> {
 
 #[test]
 fn transform_2d_bit_identical_across_thread_counts() {
-    // 128×128 = 16384 elements: meets PARALLEL_GRID_THRESHOLD
-    let (rows, cols) = (128usize, 128usize);
+    let (rows, cols) = (512usize, 512usize);
+    assert!(rows * cols >= PARALLEL_GRID_THRESHOLD);
     let pairs = [
         (Kind::Dct2, Kind::Dct2),
         (Kind::Dct3, Kind::Dct3),
@@ -66,9 +83,11 @@ fn transform_2d_bit_identical_across_thread_counts() {
 
         for threads in [1usize, 2, 8] {
             let mut engine = Spectral2d::new(rows, cols);
-            engine.set_executor(Arc::new(ThreadsExec { threads }), threads.max(2));
+            let exec = ThreadsExec::new(threads);
+            engine.set_executor(exec.clone(), threads.max(2));
             let mut got = x.clone();
             engine.execute(&mut got, kx, ky);
+            assert!(exec.runs() > 0, "parallel path not taken");
             for j in 0..want.len() {
                 assert_eq!(
                     got[j].to_bits(),
@@ -84,16 +103,18 @@ fn transform_2d_bit_identical_across_thread_counts() {
 
 #[test]
 fn transform_2d_bit_identical_on_rectangular_grids() {
-    let (rows, cols) = (64usize, 256usize);
+    let (rows, cols) = (256usize, 1024usize);
     let x = test_grid(rows, cols, 99);
     let mut reference = Spectral2d::new(rows, cols);
     let mut want = x.clone();
     reference.execute(&mut want, Kind::Dct2, Kind::Dct2);
     for threads in [2usize, 8] {
         let mut engine = Spectral2d::new(rows, cols);
-        engine.set_executor(Arc::new(ThreadsExec { threads }), threads);
+        let exec = ThreadsExec::new(threads);
+        engine.set_executor(exec.clone(), threads);
         let mut got = x.clone();
         engine.execute(&mut got, Kind::Dct2, Kind::Dct2);
+        assert!(exec.runs() > 0, "parallel path not taken");
         for j in 0..want.len() {
             assert_eq!(got[j].to_bits(), want[j].to_bits(), "threads {threads}");
         }
@@ -107,7 +128,9 @@ fn transform_2d_bit_identical_on_rectangular_grids() {
 #[test]
 fn fused_sweeps_bit_identical_to_unfused_across_sizes_and_threads() {
     // deterministic "random" size walk over the power-of-two lattice,
-    // biased to cover both the scalar fallback (dims < 8) and big grids
+    // biased to cover both the scalar fallback (dims < 8) and big grids;
+    // the thin 8-lane and rectangular shapes recur at and above
+    // PARALLEL_GRID_THRESHOLD so the threaded sweeps see them too
     let shapes: &[(usize, usize)] = &[
         (2, 1024),
         (1024, 2),
@@ -118,6 +141,9 @@ fn fused_sweeps_bit_identical_to_unfused_across_sizes_and_threads() {
         (64, 128),
         (256, 64),
         (1024, 32),
+        (8, 32768),
+        (32768, 8),
+        (256, 1024),
     ];
     let pairs = [
         (Kind::Dct2, Kind::Dct2),
@@ -133,9 +159,13 @@ fn fused_sweeps_bit_identical_to_unfused_across_sizes_and_threads() {
             reference.execute_unfused(&mut want, kx, ky);
             for threads in [1usize, 2, 8] {
                 let mut engine = Spectral2d::new(rows, cols);
-                engine.set_executor(Arc::new(ThreadsExec { threads }), threads.max(2));
+                let exec = ThreadsExec::new(threads);
+                engine.set_executor(exec.clone(), threads.max(2));
                 let mut got = x.clone();
                 engine.execute(&mut got, kx, ky);
+                if rows * cols >= PARALLEL_GRID_THRESHOLD {
+                    assert!(exec.runs() > 0, "{rows}x{cols}: parallel path not taken");
+                }
                 for j in 0..want.len() {
                     assert_eq!(
                         got[j].to_bits(),
@@ -153,16 +183,19 @@ fn fused_sweeps_bit_identical_to_unfused_across_sizes_and_threads() {
 /// The unfused reference itself must stay thread-count invariant too.
 #[test]
 fn unfused_sweeps_bit_identical_across_thread_counts() {
-    let (rows, cols) = (128usize, 128usize);
+    let (rows, cols) = (1024usize, 256usize);
+    assert!(rows * cols >= PARALLEL_GRID_THRESHOLD);
     let x = test_grid(rows, cols, 55);
     let mut reference = Spectral2d::new(rows, cols);
     let mut want = x.clone();
     reference.execute_unfused(&mut want, Kind::Dct2, Kind::Dct2);
     for threads in [2usize, 8] {
         let mut engine = Spectral2d::new(rows, cols);
-        engine.set_executor(Arc::new(ThreadsExec { threads }), threads);
+        let exec = ThreadsExec::new(threads);
+        engine.set_executor(exec.clone(), threads);
         let mut got = x.clone();
         engine.execute_unfused(&mut got, Kind::Dct2, Kind::Dct2);
+        assert!(exec.runs() > 0, "parallel path not taken");
         for j in 0..want.len() {
             assert_eq!(got[j].to_bits(), want[j].to_bits(), "threads {threads}");
         }
@@ -171,7 +204,8 @@ fn unfused_sweeps_bit_identical_across_thread_counts() {
 
 #[test]
 fn poisson_solve_bit_identical_across_thread_counts() {
-    let n = 128usize;
+    let n = 512usize;
+    assert!(n * n >= PARALLEL_GRID_THRESHOLD);
     let rho = test_grid(n, n, 7);
     let solve = |exec: Option<(Arc<dyn ParallelExec>, usize)>| {
         let mut solver = PoissonSolver::new(n, n, 2.0, 2.0);
@@ -187,9 +221,9 @@ fn poisson_solve_bit_identical_across_thread_counts() {
     let (psi0, ex0, ey0) = solve(None);
     let configs: Vec<(Arc<dyn ParallelExec>, usize)> = vec![
         (Arc::new(SerialExec), 4),
-        (Arc::new(ThreadsExec { threads: 1 }), 4),
-        (Arc::new(ThreadsExec { threads: 2 }), 4),
-        (Arc::new(ThreadsExec { threads: 8 }), 8),
+        (ThreadsExec::new(1), 4),
+        (ThreadsExec::new(2), 4),
+        (ThreadsExec::new(8), 8),
     ];
     for (k, cfg) in configs.into_iter().enumerate() {
         let (psi, ex, ey) = solve(Some(cfg));

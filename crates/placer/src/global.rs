@@ -190,7 +190,9 @@ pub struct GlobalResult {
     /// Per-iteration `(HPWL, φ)` samples when recording was enabled.
     pub trajectory: Vec<TrajectoryPoint>,
     /// Evaluation-engine instrumentation (spawns, eval counts, stage
-    /// times) accumulated by this run alone, even on a shared engine.
+    /// times) of this run alone, counted through its own
+    /// [`EvalEngine::scoped`] view, so it holds even when other runs use
+    /// the same engine at the same time.
     pub engine_stats: EngineStats,
     /// Spectral-transform kernel instrumentation (which kernels ran: lane
     /// tiles, scalar fallback lines, transposes) for the density solver.
@@ -254,8 +256,9 @@ pub fn place_with_engine(
     engine: Arc<EvalEngine>,
 ) -> Result<GlobalResult, PlacerError> {
     validate_circuit(circuit)?;
-    // the engine may be shared: report only what this run adds
-    let engine_at_start = engine.stats();
+    // the engine may be shared, even by runs going on at the same time:
+    // count this run's work through its own view of the engine
+    let engine = Arc::new(engine.scoped());
     // lint:allow(determinism): the wall-clock budget is an explicit opt-in termination criterion (GlobalConfig::time_budget); its nondeterminism is documented
     let start = Instant::now();
     let design = &circuit.design;
@@ -529,7 +532,7 @@ pub fn place_with_engine(
         overflow,
         iterations,
         trajectory,
-        engine_stats: engine.stats().since(&engine_at_start),
+        engine_stats: engine.stats(),
         transform_stats: problem.electrostatics().transform_stats(),
         recovery: monitor.into_log(),
         termination,
@@ -639,7 +642,7 @@ mod tests {
     }
 
     #[test]
-    fn runs_sharing_an_engine_each_report_their_own_counters() {
+    fn runs_sharing_an_engine_each_report_their_own_counters_even_at_once() {
         let c = synth::generate(&synth::smoke_spec());
         let mut cfg = smoke_config(ModelKind::Moreau);
         cfg.max_iters = 30;
@@ -672,6 +675,24 @@ mod tests {
         assert_eq!(first.spawned_threads, 1);
         assert_eq!(second.spawned_threads, 0, "the pool outlives the first run");
         assert_eq!(shared.stats().wl_grad.count, 2 * fresh.wl_grad.count);
+
+        // two runs going at once on one engine (as `mep serve` workers do)
+        let shared = engine();
+        let start = std::sync::Barrier::new(2);
+        let [a, b] = std::thread::scope(|s| {
+            let run = || {
+                start.wait();
+                place_with_engine(&c, &cfg, Arc::clone(&shared))
+                    .unwrap()
+                    .engine_stats
+            };
+            let (a, b) = (s.spawn(run), s.spawn(run));
+            [a.join().unwrap(), b.join().unwrap()]
+        });
+        assert_eq!(counts(a), counts(fresh));
+        assert_eq!(counts(b), counts(fresh));
+        assert_eq!(a.spawned_threads + b.spawned_threads, 1);
+        assert_eq!(shared.stats().density.count, 2 * fresh.density.count);
     }
 
     #[test]

@@ -13,7 +13,10 @@
 //!   arenas alive across iterations;
 //! * lightweight **instrumentation** ([`EngineStats`]) counts thread
 //!   spawns, parallel/serial runs, workspace (re)allocations, and
-//!   per-stage evaluation counts and wall time.
+//!   per-stage evaluation counts and wall time. A [`EvalEngine::scoped`]
+//!   view shares the pool but counts only the work done through it, so
+//!   runs that share one engine (even at the same time) each see their
+//!   own counters.
 //!
 //! # Determinism contract
 //!
@@ -27,7 +30,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
 /// Below this item count (nets, cells, …) parallel dispatch is not worth
@@ -157,16 +160,6 @@ pub struct EngineStats {
     pub density_transform: StageStats,
 }
 
-impl StageStats {
-    /// What was added between `earlier` and `self` (saturating).
-    fn since(&self, earlier: &StageStats) -> StageStats {
-        StageStats {
-            count: self.count.saturating_sub(earlier.count),
-            nanos: self.nanos.saturating_sub(earlier.nanos),
-        }
-    }
-}
-
 impl EngineStats {
     /// Adds the counters of `other` (another run on the same engine) to
     /// these, e.g. to report a multi-stage flow as the sum of its stages.
@@ -185,31 +178,22 @@ impl EngineStats {
             a.nanos += b.nanos;
         }
     }
-
-    /// The counters accumulated between the snapshot `earlier` and this
-    /// one: what one run on a shared engine did. `threads` is kept as is;
-    /// every counter is the (saturating) difference.
-    pub fn since(&self, earlier: &EngineStats) -> EngineStats {
-        EngineStats {
-            threads: self.threads,
-            spawned_threads: self.spawned_threads.saturating_sub(earlier.spawned_threads),
-            parallel_runs: self.parallel_runs.saturating_sub(earlier.parallel_runs),
-            serial_runs: self.serial_runs.saturating_sub(earlier.serial_runs),
-            workspace_allocs: self
-                .workspace_allocs
-                .saturating_sub(earlier.workspace_allocs),
-            wl_grad: self.wl_grad.since(&earlier.wl_grad),
-            wl_value: self.wl_value.since(&earlier.wl_value),
-            density: self.density.since(&earlier.density),
-            density_transform: self.density_transform.since(&earlier.density_transform),
-        }
-    }
 }
 
 #[derive(Debug, Default)]
 struct StageCounter {
     count: AtomicU64,
     nanos: AtomicU64,
+}
+
+/// The instrumentation counters of one engine view.
+#[derive(Debug, Default)]
+struct Counters {
+    spawned_threads: AtomicU64,
+    parallel_runs: AtomicU64,
+    serial_runs: AtomicU64,
+    workspace_allocs: AtomicU64,
+    stages: [StageCounter; Stage::COUNT],
 }
 
 /// A unit of work shipped to a pool worker: a borrowed claiming loop.
@@ -241,6 +225,14 @@ struct PoolState {
     done_rx: mpsc::Receiver<()>,
 }
 
+/// The worker pool, shared by an engine and its scoped views and shut
+/// down when the last of them is dropped.
+#[derive(Debug, Default)]
+struct Pool {
+    state: Mutex<Option<PoolState>>,
+    panicked: AtomicBool,
+}
+
 impl std::fmt::Debug for Msg {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -258,13 +250,11 @@ impl std::fmt::Debug for Msg {
 pub struct EvalEngine {
     threads: usize,
     parallel_threshold: usize,
-    pool: Mutex<Option<PoolState>>,
-    panicked: AtomicBool,
-    spawned_threads: AtomicU64,
-    parallel_runs: AtomicU64,
-    serial_runs: AtomicU64,
-    workspace_allocs: AtomicU64,
-    stages: [StageCounter; Stage::COUNT],
+    pool: Arc<Pool>,
+    counters: Counters,
+    /// The engine this one is a [`EvalEngine::scoped`] view of; it also
+    /// receives every count made here.
+    parent: Option<Arc<EvalEngine>>,
 }
 
 impl EvalEngine {
@@ -274,13 +264,37 @@ impl EvalEngine {
         Self {
             threads: threads.max(1),
             parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
-            pool: Mutex::new(None),
-            panicked: AtomicBool::new(false),
-            spawned_threads: AtomicU64::new(0),
-            parallel_runs: AtomicU64::new(0),
-            serial_runs: AtomicU64::new(0),
-            workspace_allocs: AtomicU64::new(0),
-            stages: Default::default(),
+            pool: Arc::default(),
+            counters: Counters::default(),
+            parent: None,
+        }
+    }
+
+    /// A view of this engine for one run: it shares the worker pool, the
+    /// thread budget and the parallel threshold, but its [`stats`] count
+    /// only the work dispatched through the view. Every count is also
+    /// added to this engine (and its own parents), so the engine's totals
+    /// stay whole. Runs sharing one engine — one after another or at the
+    /// same time — each report their own counters this way.
+    ///
+    /// [`stats`]: EvalEngine::stats
+    pub fn scoped(self: &Arc<Self>) -> EvalEngine {
+        EvalEngine {
+            threads: self.threads,
+            parallel_threshold: self.parallel_threshold,
+            pool: Arc::clone(&self.pool),
+            counters: Counters::default(),
+            parent: Some(Arc::clone(self)),
+        }
+    }
+
+    /// Applies `f` to the counters of this view and of every engine it
+    /// is a view of.
+    fn count(&self, f: impl Fn(&Counters)) {
+        let mut at = Some(self);
+        while let Some(engine) = at {
+            f(&engine.counters);
+            at = engine.parent.as_deref();
         }
     }
 
@@ -320,13 +334,15 @@ impl EvalEngine {
             self.run_serial(parts, f);
             return;
         }
-        self.parallel_runs.fetch_add(1, Ordering::Relaxed);
+        self.count(|c| {
+            c.parallel_runs.fetch_add(1, Ordering::Relaxed);
+        });
         // lint:allow(no-panic-lib): a poisoned pool lock means a worker thread already panicked; propagating is correct
-        let mut guard = self.pool.lock().expect("engine pool lock");
+        let mut guard = self.pool.state.lock().expect("engine pool lock");
         let pool = self.ensure_spawned(&mut guard);
 
         let next = AtomicUsize::new(0);
-        let panicked = &self.panicked;
+        let panicked = &self.pool.panicked;
         let claim_loop = move || loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
             if i >= parts {
@@ -357,7 +373,7 @@ impl EvalEngine {
             pool.done_rx.recv().expect("engine worker hung up");
         }
         drop(guard);
-        if self.panicked.swap(false, Ordering::Relaxed) {
+        if self.pool.panicked.swap(false, Ordering::Relaxed) {
             // lint:allow(no-panic-lib): re-raises a caught worker panic on the caller thread; the guarded loop handles it
             panic!("evaluation engine worker panicked");
         }
@@ -370,7 +386,9 @@ impl EvalEngine {
     /// determinism contract it produces outputs bit-identical to
     /// [`EvalEngine::run`].
     pub fn run_serial(&self, parts: usize, f: &(dyn Fn(usize) + Sync)) {
-        self.serial_runs.fetch_add(1, Ordering::Relaxed);
+        self.count(|c| {
+            c.serial_runs.fetch_add(1, Ordering::Relaxed);
+        });
         for i in 0..parts {
             f(i);
         }
@@ -412,8 +430,10 @@ impl EvalEngine {
                 // lint:allow(no-alloc-hot): one-time pool construction, amortized across the whole run
                 senders.push(tx);
             }
-            self.spawned_threads
-                .fetch_add(workers_needed as u64, Ordering::Relaxed);
+            self.count(|c| {
+                c.spawned_threads
+                    .fetch_add(workers_needed as u64, Ordering::Relaxed);
+            });
             PoolState {
                 workers,
                 senders,
@@ -429,10 +449,7 @@ impl EvalEngine {
         // lint:allow(determinism): EngineStats stage timing; durations never feed back into results
         let t0 = Instant::now();
         let r = f();
-        let c = &self.stages[stage.index()];
-        c.count.fetch_add(1, Ordering::Relaxed);
-        c.nanos
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        self.add_stage_sample(stage, 1, t0.elapsed().as_nanos() as u64);
         r
     }
 
@@ -441,16 +458,20 @@ impl EvalEngine {
     /// density crate's spectral transforms) whose clocks the engine cannot
     /// wrap directly.
     pub fn add_stage_sample(&self, stage: Stage, count: u64, nanos: u64) {
-        let c = &self.stages[stage.index()];
-        c.count.fetch_add(count, Ordering::Relaxed);
-        c.nanos.fetch_add(nanos, Ordering::Relaxed);
+        self.count(|c| {
+            let s = &c.stages[stage.index()];
+            s.count.fetch_add(count, Ordering::Relaxed);
+            s.nanos.fetch_add(nanos, Ordering::Relaxed);
+        });
     }
 
     /// Records one workspace arena (re)allocation. Evaluators call this
     /// when they (re)build topology-derived buffers; a warmed-up hot loop
     /// must keep this counter flat.
     pub fn note_workspace_alloc(&self) {
-        self.workspace_allocs.fetch_add(1, Ordering::Relaxed);
+        self.count(|c| {
+            c.workspace_allocs.fetch_add(1, Ordering::Relaxed);
+        });
     }
 
     /// Determinism self-check, for long-lived drivers reusing one engine
@@ -468,7 +489,7 @@ impl EvalEngine {
     pub fn revalidate(&self) -> bool {
         // a mutex poisoned by a panic while spawning/dispatching can
         // never be locked again; the pool is unrecoverable
-        if self.pool.lock().is_err() {
+        if self.pool.state.lock().is_err() {
             return false;
         }
         // odd and larger than the 256-thread cap would ever claim per
@@ -490,10 +511,12 @@ impl EvalEngine {
         (0..PARTS).all(|i| slots[i].load(Ordering::Relaxed) == known_answer(i))
     }
 
-    /// Snapshot of all instrumentation counters.
+    /// Snapshot of the instrumentation counters of this engine (for a
+    /// [`EvalEngine::scoped`] view: of the work done through the view).
     pub fn stats(&self) -> EngineStats {
+        let c = &self.counters;
         let stage = |s: Stage| {
-            let c = &self.stages[s.index()];
+            let c = &c.stages[s.index()];
             StageStats {
                 count: c.count.load(Ordering::Relaxed),
                 nanos: c.nanos.load(Ordering::Relaxed),
@@ -501,10 +524,10 @@ impl EvalEngine {
         };
         EngineStats {
             threads: self.threads,
-            spawned_threads: self.spawned_threads.load(Ordering::Relaxed),
-            parallel_runs: self.parallel_runs.load(Ordering::Relaxed),
-            serial_runs: self.serial_runs.load(Ordering::Relaxed),
-            workspace_allocs: self.workspace_allocs.load(Ordering::Relaxed),
+            spawned_threads: c.spawned_threads.load(Ordering::Relaxed),
+            parallel_runs: c.parallel_runs.load(Ordering::Relaxed),
+            serial_runs: c.serial_runs.load(Ordering::Relaxed),
+            workspace_allocs: c.workspace_allocs.load(Ordering::Relaxed),
             wl_grad: stage(Stage::WlGrad),
             wl_value: stage(Stage::WlValue),
             density: stage(Stage::Density),
@@ -515,19 +538,20 @@ impl EvalEngine {
     /// Resets every counter except `spawned_threads` (the pool persists, so
     /// forgetting historical spawns would let a benchmark miss them).
     pub fn reset_stats(&self) {
-        self.parallel_runs.store(0, Ordering::Relaxed);
-        self.serial_runs.store(0, Ordering::Relaxed);
-        self.workspace_allocs.store(0, Ordering::Relaxed);
-        for c in &self.stages {
-            c.count.store(0, Ordering::Relaxed);
-            c.nanos.store(0, Ordering::Relaxed);
+        let c = &self.counters;
+        c.parallel_runs.store(0, Ordering::Relaxed);
+        c.serial_runs.store(0, Ordering::Relaxed);
+        c.workspace_allocs.store(0, Ordering::Relaxed);
+        for s in &c.stages {
+            s.count.store(0, Ordering::Relaxed);
+            s.nanos.store(0, Ordering::Relaxed);
         }
     }
 }
 
-impl Drop for EvalEngine {
+impl Drop for Pool {
     fn drop(&mut self) {
-        if let Ok(mut guard) = self.pool.lock() {
+        if let Ok(mut guard) = self.state.lock() {
             if let Some(pool) = guard.take() {
                 for s in &pool.senders {
                     let _ = s.send(Msg::Exit);
@@ -629,26 +653,62 @@ mod tests {
     }
 
     #[test]
-    fn since_reports_only_what_happened_after_the_snapshot() {
-        let engine = EvalEngine::new(2);
+    fn scoped_views_count_only_their_own_work() {
+        let engine = Arc::new(EvalEngine::new(2));
         engine.time_stage(Stage::WlGrad, || {});
-        engine.run(4, &|_| {});
-        let before = engine.stats();
-        engine.time_stage(Stage::Density, || {});
-        engine.run(1, &|_| {});
-        engine.note_workspace_alloc();
-        let d = engine.stats().since(&before);
-        assert_eq!(d.threads, 2);
-        assert_eq!(d.spawned_threads, 0, "the pool was already up");
-        assert_eq!((d.parallel_runs, d.serial_runs), (0, 1));
-        assert_eq!(d.workspace_allocs, 1);
-        assert_eq!((d.wl_grad.count, d.wl_grad.nanos), (0, 0));
-        assert_eq!(d.density.count, 1);
-        let mut sum = before;
-        sum.accumulate(&d);
-        assert_eq!(sum, engine.stats(), "earlier + delta = now");
-        // a snapshot taken later than `self` saturates instead of wrapping
-        assert_eq!(before.since(&engine.stats()).density.count, 0);
+        let (a, b) = (engine.scoped(), engine.scoped());
+        assert_eq!(
+            (a.threads(), a.parallel_threshold()),
+            (2, engine.parallel_threshold())
+        );
+        // interleaved work on two views of one engine
+        a.run(4, &|_| {});
+        b.time_stage(Stage::Density, || {});
+        a.time_stage(Stage::Density, || {});
+        b.run(1, &|_| {});
+        a.note_workspace_alloc();
+        b.run(3, &|_| {});
+        a.add_stage_sample(Stage::DensityTransform, 4, 7);
+        let (sa, sb) = (a.stats(), b.stats());
+        assert_eq!(sa.threads, 2);
+        assert_eq!(
+            sa.spawned_threads, 1,
+            "the first parallel run spawns the pool"
+        );
+        assert_eq!(sb.spawned_threads, 0, "the views share one pool");
+        assert_eq!((sa.parallel_runs, sa.serial_runs), (1, 0));
+        assert_eq!((sb.parallel_runs, sb.serial_runs), (1, 1));
+        assert_eq!((sa.workspace_allocs, sb.workspace_allocs), (1, 0));
+        assert_eq!((sa.wl_grad.count, sb.wl_grad.count), (0, 0));
+        assert_eq!((sa.density.count, sb.density.count), (1, 1));
+        assert_eq!(sa.density_transform, StageStats { count: 4, nanos: 7 });
+        // the engine's totals are its own work plus every view's
+        let mut sum = EngineStats::default();
+        sum.accumulate(&sa);
+        sum.accumulate(&sb);
+        sum.wl_grad.count += 1;
+        let total = engine.stats();
+        assert_eq!(
+            (
+                total.spawned_threads,
+                total.parallel_runs,
+                total.serial_runs
+            ),
+            (sum.spawned_threads, sum.parallel_runs, sum.serial_runs)
+        );
+        assert_eq!(total.workspace_allocs, sum.workspace_allocs);
+        assert_eq!(total.wl_grad.count, sum.wl_grad.count);
+        assert_eq!(total.density.count, sum.density.count);
+        assert_eq!(total.density_transform, sum.density_transform);
+        // resetting a view leaves the engine's totals alone
+        a.reset_stats();
+        assert_eq!(a.stats().density.count, 0);
+        assert_eq!(engine.stats().density.count, 2);
+        // a view keeps its engine, and so the pool, alive
+        drop(engine);
+        a.run(2, &|_| {});
+        assert_eq!(a.stats().parallel_runs, 1);
+        assert!(a.revalidate());
     }
 
     #[test]
