@@ -44,9 +44,16 @@ pub struct PlacementProblem<'a> {
     evaluator: NetlistEvaluator,
     wl: WirelengthGrad,
     es: Electrostatics,
-    /// Reused density-gradient buffers (zeroed each eval, never reallocated).
+    /// `∇D` at `density_x` (zeroed before each density evaluation, never
+    /// reallocated).
     dgx: Vec<f64>,
     dgy: Vec<f64>,
+    /// The parameter vector the density term was last evaluated at, and
+    /// its report; `None` when nothing valid is held. `D` and `∇D` depend
+    /// on the point and the solver only, never on `λ`, the smoothing or
+    /// the preconditioner, so a bit-identical point reuses them.
+    density_x: Vec<f64>,
+    density: Option<DensityReport>,
     scratch: Placement,
     /// Current density weight `λ`.
     pub lambda: f64,
@@ -99,6 +106,8 @@ impl<'a> PlacementProblem<'a> {
             es,
             dgx: vec![0.0; netlist.num_cells()],
             dgy: vec![0.0; netlist.num_cells()],
+            density_x: Vec::new(),
+            density: None,
             scratch: initial.clone(),
             lambda: 0.0,
             precondition: false,
@@ -181,6 +190,8 @@ impl<'a> PlacementProblem<'a> {
     /// (the recovery guard's last ladder rung before halting).
     pub fn degrade_density_solver(&mut self) {
         self.es.degrade_solver();
+        // the degraded solver must produce the next density result itself
+        self.density = None;
     }
 
     /// Whether the density solver has been degraded.
@@ -229,13 +240,53 @@ impl<'a> PlacementProblem<'a> {
         h
     }
 
-    /// Density report (energy + overflow) at a parameter vector; does not
-    /// disturb gradient buffers.
+    /// Density report (energy + overflow) at a parameter vector. Shares
+    /// [`Problem::eval`]'s density result: a following `eval` at the same
+    /// `params` reuses it.
     pub fn density_report(&mut self, params: &[f64]) -> DensityReport {
         let mut scratch = std::mem::take(&mut self.scratch);
         self.unpack_params(params, &mut scratch);
-        let report = self.es.update(&self.design.netlist, &scratch);
+        let report = self.density_term(params, &scratch);
         self.scratch = scratch;
+        report
+    }
+
+    /// The density term at `x` (unpacked into `placement`): its report,
+    /// with `∇D` left in `dgx`/`dgy`. When `x` is bit for bit the point
+    /// of the last density evaluation, that result is reused — the same
+    /// bits a recomputation would produce — instead of solved again.
+    fn density_term(&mut self, x: &[f64], placement: &Placement) -> DensityReport {
+        if let Some(report) = self.density {
+            let same = x.len() == self.density_x.len()
+                && x.iter()
+                    .zip(&self.density_x)
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+            if same {
+                self.engine.note_density_reused();
+                return report;
+            }
+        }
+        let netlist = &self.design.netlist;
+        self.dgx.iter_mut().for_each(|g| *g = 0.0);
+        self.dgy.iter_mut().for_each(|g| *g = 0.0);
+        let es = &mut self.es;
+        let (dgx, dgy) = (&mut self.dgx, &mut self.dgy);
+        let report = self.engine.time_stage(Stage::Density, || {
+            let report = es.update(netlist, placement);
+            es.accumulate_gradient(netlist, placement, dgx, dgy);
+            report
+        });
+        // forward the transform sub-stage clock (kept by the density crate)
+        let tf = self.es.transform_stats();
+        self.engine.add_stage_sample(
+            Stage::DensityTransform,
+            tf.calls - self.tf_synced.calls,
+            tf.nanos - self.tf_synced.nanos,
+        );
+        self.tf_synced = tf;
+        self.density_x.clear();
+        self.density_x.extend_from_slice(x);
+        self.density = Some(report);
         report
     }
 }
@@ -256,24 +307,8 @@ impl<'a> Problem for PlacementProblem<'a> {
         // wirelength term (engine-timed inside the evaluator)
         self.evaluator.evaluate(netlist, &scratch, &mut self.wl);
 
-        // density term, on reused buffers
-        self.dgx.iter_mut().for_each(|g| *g = 0.0);
-        self.dgy.iter_mut().for_each(|g| *g = 0.0);
-        let es = &mut self.es;
-        let (dgx, dgy) = (&mut self.dgx, &mut self.dgy);
-        let report = self.engine.time_stage(Stage::Density, || {
-            let report = es.update(netlist, &scratch);
-            es.accumulate_gradient(netlist, &scratch, dgx, dgy);
-            report
-        });
-        // forward the transform sub-stage clock (kept by the density crate)
-        let tf = self.es.transform_stats();
-        self.engine.add_stage_sample(
-            Stage::DensityTransform,
-            tf.calls - self.tf_synced.calls,
-            tf.nanos - self.tf_synced.nanos,
-        );
-        self.tf_synced = tf;
+        // density term (reused when `x` is the last density point)
+        let report = self.density_term(x, &scratch);
 
         for (i, &cell) in self.movable.iter().enumerate() {
             let c = cell.index();
@@ -356,6 +391,92 @@ mod tests {
         )
     }
 
+    /// `params` with every cell shifted a little, projected into the die.
+    fn moved(p: &PlacementProblem<'_>, params: &[f64]) -> Vec<f64> {
+        let w = p.design.die.width();
+        let mut x: Vec<f64> = params
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| v + ((i as f64) * 0.9).sin() * 0.05 * w)
+            .collect();
+        p.project(&mut x);
+        x
+    }
+
+    /// Value and gradient of one evaluation, as bits.
+    fn eval_bits(p: &mut PlacementProblem<'_>, x: &[f64]) -> (u64, Vec<u64>) {
+        let mut g = vec![0.0; p.dim()];
+        let f = p.eval(x, &mut g);
+        (f.to_bits(), g.iter().map(|v| v.to_bits()).collect())
+    }
+
+    #[test]
+    fn density_is_reused_at_the_same_point_across_lambda_smoothing_and_preconditioner() {
+        let c = synth::generate(&synth::smoke_spec());
+        let mut p = problem(&c);
+        let x = moved(&p, &p.pack_params(&c.placement));
+        p.lambda = 0.5;
+        eval_bits(&mut p, &x);
+        p.lambda = 3.0;
+        p.set_smoothing(0.25);
+        p.set_preconditioner(true);
+        let reused = eval_bits(&mut p, &x);
+        let stats = p.engine().stats();
+        assert_eq!(stats.wl_grad.count, 2);
+        assert_eq!((stats.density.count, stats.density_reused), (1, 1));
+
+        let mut fresh = problem(&c);
+        fresh.lambda = 3.0;
+        fresh.set_smoothing(0.25);
+        fresh.set_preconditioner(true);
+        assert!(
+            reused == eval_bits(&mut fresh, &x),
+            "reuse changed the bits"
+        );
+        assert_eq!(p.last_stats(), fresh.last_stats());
+
+        // a point one ulp away in its last coordinate is a new point
+        let mut near = x.clone();
+        let last = near.len() - 1;
+        near[last] = f64::from_bits(near[last].to_bits() + 1);
+        let near_bits = eval_bits(&mut p, &near);
+        let stats = p.engine().stats();
+        assert_eq!((stats.density.count, stats.density_reused), (2, 1));
+        assert!(near_bits == eval_bits(&mut fresh, &near));
+
+        // `density_report` and `eval` share one density result
+        let report = p.density_report(&x);
+        eval_bits(&mut p, &x);
+        let stats = p.engine().stats();
+        assert_eq!((stats.density.count, stats.density_reused), (3, 2));
+        assert_eq!(
+            report.energy.to_bits(),
+            p.last_stats().density_energy.to_bits()
+        );
+    }
+
+    #[test]
+    fn degrading_the_density_solver_forces_a_new_density_evaluation() {
+        let c = synth::generate(&synth::smoke_spec());
+        let mut p = problem(&c);
+        p.lambda = 2.0;
+        let x = moved(&p, &p.pack_params(&c.placement));
+        eval_bits(&mut p, &x);
+        p.degrade_density_solver();
+        let degraded = eval_bits(&mut p, &x);
+        let stats = p.engine().stats();
+        assert_eq!((stats.density.count, stats.density_reused), (2, 0));
+
+        let mut fresh = problem(&c);
+        fresh.lambda = 2.0;
+        fresh.degrade_density_solver();
+        assert!(
+            degraded == eval_bits(&mut fresh, &x),
+            "stale density after degrading"
+        );
+        assert_eq!(p.last_stats(), fresh.last_stats());
+    }
+
     #[test]
     fn engine_instrumentation_sees_both_stages() {
         let c = synth::generate(&synth::smoke_spec());
@@ -363,10 +484,12 @@ mod tests {
         let params = p.pack_params(&c.placement);
         let mut g = vec![0.0; p.dim()];
         p.eval(&params, &mut g);
-        p.eval(&params, &mut g);
+        // a second, distinct point: the density term is evaluated again
+        p.eval(&moved(&p, &params), &mut g);
         let stats = p.engine().stats();
         assert_eq!(stats.wl_grad.count, 2);
         assert_eq!(stats.density.count, 2);
+        assert_eq!(stats.density_reused, 0);
         // each density update runs 4 spectral sweeps (DCT2, DCT3, ×2 field)
         assert_eq!(stats.density_transform.count, 8);
         assert!(stats.density_transform.nanos <= stats.density.nanos);

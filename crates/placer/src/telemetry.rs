@@ -125,6 +125,7 @@ pub(crate) fn export_engine_stats(r: &Registry, e: &EngineStats) {
     r.counter("engine.workspace_allocs").add(e.workspace_allocs);
     r.counter("engine.parallel_runs").add(e.parallel_runs);
     r.counter("engine.serial_runs").add(e.serial_runs);
+    r.counter("engine.density.reused").add(e.density_reused);
 }
 
 /// Builds the end-of-run [`RunReport`] from one pipeline run's stage

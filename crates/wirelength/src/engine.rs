@@ -158,6 +158,9 @@ pub struct EngineStats {
     pub density: StageStats,
     /// Spectral-transform sub-stage of density (included in `density`).
     pub density_transform: StageStats,
+    /// Density results served from the objective's one-iterate memo
+    /// instead of a new [`Stage::Density`] evaluation (not counted there).
+    pub density_reused: u64,
 }
 
 impl EngineStats {
@@ -168,6 +171,7 @@ impl EngineStats {
         self.parallel_runs += other.parallel_runs;
         self.serial_runs += other.serial_runs;
         self.workspace_allocs += other.workspace_allocs;
+        self.density_reused += other.density_reused;
         for (a, b) in [
             (&mut self.wl_grad, &other.wl_grad),
             (&mut self.wl_value, &other.wl_value),
@@ -193,6 +197,7 @@ struct Counters {
     parallel_runs: AtomicU64,
     serial_runs: AtomicU64,
     workspace_allocs: AtomicU64,
+    density_reused: AtomicU64,
     stages: [StageCounter; Stage::COUNT],
 }
 
@@ -474,6 +479,14 @@ impl EvalEngine {
         });
     }
 
+    /// Records one density result reused at an unchanged point instead of
+    /// a new [`Stage::Density`] evaluation.
+    pub fn note_density_reused(&self) {
+        self.count(|c| {
+            c.density_reused.fetch_add(1, Ordering::Relaxed);
+        });
+    }
+
     /// Determinism self-check, for long-lived drivers reusing one engine
     /// across many jobs (the `mep-serve` daemon runs it after any job
     /// panic before the pool serves the next job).
@@ -532,6 +545,7 @@ impl EvalEngine {
             wl_value: stage(Stage::WlValue),
             density: stage(Stage::Density),
             density_transform: stage(Stage::DensityTransform),
+            density_reused: c.density_reused.load(Ordering::Relaxed),
         }
     }
 
@@ -542,6 +556,7 @@ impl EvalEngine {
         c.parallel_runs.store(0, Ordering::Relaxed);
         c.serial_runs.store(0, Ordering::Relaxed);
         c.workspace_allocs.store(0, Ordering::Relaxed);
+        c.density_reused.store(0, Ordering::Relaxed);
         for s in &c.stages {
             s.count.store(0, Ordering::Relaxed);
             s.nanos.store(0, Ordering::Relaxed);
@@ -669,6 +684,8 @@ mod tests {
         a.note_workspace_alloc();
         b.run(3, &|_| {});
         a.add_stage_sample(Stage::DensityTransform, 4, 7);
+        b.note_density_reused();
+        b.note_density_reused();
         let (sa, sb) = (a.stats(), b.stats());
         assert_eq!(sa.threads, 2);
         assert_eq!(
@@ -681,6 +698,7 @@ mod tests {
         assert_eq!((sa.workspace_allocs, sb.workspace_allocs), (1, 0));
         assert_eq!((sa.wl_grad.count, sb.wl_grad.count), (0, 0));
         assert_eq!((sa.density.count, sb.density.count), (1, 1));
+        assert_eq!((sa.density_reused, sb.density_reused), (0, 2));
         assert_eq!(sa.density_transform, StageStats { count: 4, nanos: 7 });
         // the engine's totals are its own work plus every view's
         let mut sum = EngineStats::default();
@@ -700,10 +718,14 @@ mod tests {
         assert_eq!(total.wl_grad.count, sum.wl_grad.count);
         assert_eq!(total.density.count, sum.density.count);
         assert_eq!(total.density_transform, sum.density_transform);
+        assert_eq!((total.density_reused, sum.density_reused), (2, 2));
         // resetting a view leaves the engine's totals alone
         a.reset_stats();
         assert_eq!(a.stats().density.count, 0);
         assert_eq!(engine.stats().density.count, 2);
+        b.reset_stats();
+        assert_eq!(b.stats().density_reused, 0);
+        assert_eq!(engine.stats().density_reused, 2);
         // a view keeps its engine, and so the pool, alive
         drop(engine);
         a.run(2, &|_| {});
