@@ -54,6 +54,8 @@ impl Default for Config {
                 // loops (paper Alg. 1–2) and the spectral density solver,
                 // including the fused lane kernels and the per-net gather
                 "crates/wirelength/src/moreau.rs",
+                // the lane-batched Moreau kernel (degree 2-8 nets)
+                "crates/wirelength/src/moreau_lanes.rs",
                 "crates/wirelength/src/waterfill.rs",
                 "crates/wirelength/src/engine.rs",
                 "crates/wirelength/src/netgrad.rs",

@@ -30,12 +30,16 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Below this item count (nets, cells, …) parallel dispatch is not worth
 /// the synchronization; evaluators fall back to the serial path.
 pub const DEFAULT_PARALLEL_THRESHOLD: usize = 4096;
+
+/// Most pieces [`EvalEngine::run_owned`] hands to the pool in one run;
+/// evaluators cap their part count here.
+pub(crate) const MAX_OWNED_PARTS: usize = 64;
 
 /// The workspace-wide thread-count policy: available parallelism capped at
 /// 16 (beyond that, memory bandwidth dominates wirelength evaluation).
@@ -399,6 +403,47 @@ impl EvalEngine {
         }
     }
 
+    /// Runs `f` once per item of `pieces`, handing each call exclusive
+    /// ownership of its piece — typically disjoint `&mut` sub-slices of
+    /// shared output buffers, so parts write their results in place.
+    ///
+    /// Dispatches like [`EvalEngine::run`] when `items` (the work size:
+    /// nets, cells, …) reaches [`EvalEngine::parallel_threshold`], and like
+    /// [`EvalEngine::run_serial`] below it. The pieces are parked in a
+    /// fixed stack array of [`MAX_OWNED_PARTS`] slots, so nothing is
+    /// allocated; pieces beyond that run afterwards on the calling thread.
+    pub(crate) fn run_owned<T: Send>(
+        &self,
+        items: usize,
+        pieces: impl IntoIterator<Item = T>,
+        f: &(dyn Fn(T) + Sync),
+    ) {
+        let mut pieces = pieces.into_iter();
+        let mut parts = 0;
+        let slots: [Mutex<Option<T>>; MAX_OWNED_PARTS] = std::array::from_fn(|_| {
+            let piece = pieces.next();
+            parts += usize::from(piece.is_some());
+            Mutex::new(piece)
+        });
+        let claim = |p: usize| {
+            // a slot is plain data; a poisoned lock still holds a valid piece
+            let taken = slots
+                .get(p)
+                .and_then(|s| s.lock().unwrap_or_else(PoisonError::into_inner).take());
+            if let Some(piece) = taken {
+                f(piece);
+            }
+        };
+        if items >= self.parallel_threshold {
+            self.run(parts, &claim);
+        } else {
+            self.run_serial(parts, &claim);
+        }
+        for piece in pieces {
+            f(piece);
+        }
+    }
+
     fn ensure_spawned<'a>(&self, guard: &'a mut Option<PoolState>) -> &'a PoolState {
         guard.get_or_insert_with(|| {
             let workers_needed = self.threads - 1;
@@ -596,6 +641,22 @@ mod tests {
         for (i, h) in hits.iter().enumerate() {
             assert_eq!(h.load(Ordering::Relaxed), 1, "part {i}");
         }
+    }
+
+    #[test]
+    fn run_owned_hands_out_every_piece_once() {
+        let engine = EvalEngine::new(4).with_parallel_threshold(1);
+        // more pieces than slots: the rest run on the calling thread
+        for pieces in [1, 3, MAX_OWNED_PARTS, MAX_OWNED_PARTS + 5] {
+            let mut out = vec![0u32; pieces * 3];
+            engine.run_owned(1, out.chunks_mut(3), &|piece| {
+                for v in piece {
+                    *v += 1;
+                }
+            });
+            assert!(out.iter().all(|&v| v == 1), "{pieces} pieces: {out:?}");
+        }
+        assert!(engine.stats().parallel_runs > 0);
     }
 
     #[test]

@@ -43,6 +43,7 @@ pub mod hpwl;
 pub mod lse;
 pub mod model;
 pub mod moreau;
+mod moreau_lanes;
 pub mod netgrad;
 pub mod schedule;
 pub mod wa;

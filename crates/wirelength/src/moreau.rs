@@ -115,99 +115,60 @@ pub fn envelope_in(x: &[f64], t: f64, scratch: &mut Vec<f64>) -> f64 {
     eval_sorted_scratch(scratch, x, t, None, None).envelope
 }
 
-/// Branchless ascending sort of `v.len() ≤ 8` elements by optimal sorting
-/// networks: every compare-exchange lowers to `minsd`/`maxsd`, no data-
-/// dependent branches, no comparator closure. Nets of ≤ 8 pins are the
-/// vast majority of every benchmark, so this removes the
-/// `sort_unstable_by` dispatch from the model's hot path.
+/// Optimal sorting networks for `n ≤ 8` elements as compare-exchange
+/// pairs `(i, j)`, `i < j`, applied in order: entry `n` sorts `n`
+/// elements. One table drives both the scalar [`sort_small`] and the
+/// lane-batched sort of `moreau_lanes.rs`, so the two run the very same
+/// comparator sequence (and so the same `min`/`max` operations).
+#[rustfmt::skip]
+pub(crate) const SORT_NETWORKS: [&[(usize, usize)]; 9] = [
+    &[],
+    &[],
+    &[(0, 1)],
+    &[(0, 1), (0, 2), (1, 2)],
+    &[(0, 1), (2, 3), (0, 2), (1, 3), (1, 2)],
+    &[(0, 1), (3, 4), (2, 4), (2, 3), (1, 4), (0, 3), (0, 2), (1, 3), (1, 2)],
+    &[
+        (1, 2), (4, 5), (0, 2), (3, 5), (0, 1), (3, 4),
+        (2, 5), (0, 3), (1, 4), (2, 4), (1, 3), (2, 3),
+    ],
+    &[
+        (1, 2), (3, 4), (5, 6), (0, 2), (3, 5), (4, 6), (0, 1), (4, 5),
+        (2, 6), (0, 4), (1, 5), (0, 3), (2, 5), (1, 3), (2, 4), (2, 3),
+    ],
+    &[
+        (0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (1, 3), (4, 6), (5, 7), (1, 2), (5, 6),
+        (0, 4), (3, 7), (1, 5), (2, 6), (1, 4), (3, 6), (2, 4), (3, 5), (3, 4),
+    ],
+];
+
+/// Branchless ascending sort of `v.len() ≤ 8` elements by the optimal
+/// sorting networks of [`SORT_NETWORKS`]: every compare-exchange lowers to
+/// `minsd`/`maxsd`, no data-dependent branches, no comparator closure.
+/// Nets of ≤ 8 pins are the vast majority of every benchmark, so this
+/// removes the `sort_unstable_by` dispatch from the model's hot path.
 fn sort_small(v: &mut [f64]) {
-    #[inline(always)]
-    fn cx(v: &mut [f64], i: usize, j: usize) {
+    match v.len() {
+        0 | 1 => {}
+        2 => sort_fixed::<2>(v),
+        3 => sort_fixed::<3>(v),
+        4 => sort_fixed::<4>(v),
+        5 => sort_fixed::<5>(v),
+        6 => sort_fixed::<6>(v),
+        7 => sort_fixed::<7>(v),
+        8 => sort_fixed::<8>(v),
+        // lint:allow(no-panic-lib): sort_small dispatch is exhaustive for n <= 8 by construction (debug_assert upstream)
+        _ => unreachable!("sort_small is only called for n <= 8"),
+    }
+}
+
+/// Applies network `N` of [`SORT_NETWORKS`] to `v` (`v.len() == N`).
+#[inline(always)]
+fn sort_fixed<const N: usize>(v: &mut [f64]) {
+    for &(i, j) in SORT_NETWORKS[N] {
         let (a, b) = (v[i], v[j]);
         v[i] = a.min(b);
         v[j] = a.max(b);
-    }
-    match v.len() {
-        0 | 1 => {}
-        2 => cx(v, 0, 1),
-        3 => {
-            cx(v, 0, 1);
-            cx(v, 0, 2);
-            cx(v, 1, 2);
-        }
-        4 => {
-            cx(v, 0, 1);
-            cx(v, 2, 3);
-            cx(v, 0, 2);
-            cx(v, 1, 3);
-            cx(v, 1, 2);
-        }
-        5 => {
-            cx(v, 0, 1);
-            cx(v, 3, 4);
-            cx(v, 2, 4);
-            cx(v, 2, 3);
-            cx(v, 1, 4);
-            cx(v, 0, 3);
-            cx(v, 0, 2);
-            cx(v, 1, 3);
-            cx(v, 1, 2);
-        }
-        6 => {
-            cx(v, 1, 2);
-            cx(v, 4, 5);
-            cx(v, 0, 2);
-            cx(v, 3, 5);
-            cx(v, 0, 1);
-            cx(v, 3, 4);
-            cx(v, 2, 5);
-            cx(v, 0, 3);
-            cx(v, 1, 4);
-            cx(v, 2, 4);
-            cx(v, 1, 3);
-            cx(v, 2, 3);
-        }
-        7 => {
-            cx(v, 1, 2);
-            cx(v, 3, 4);
-            cx(v, 5, 6);
-            cx(v, 0, 2);
-            cx(v, 3, 5);
-            cx(v, 4, 6);
-            cx(v, 0, 1);
-            cx(v, 4, 5);
-            cx(v, 2, 6);
-            cx(v, 0, 4);
-            cx(v, 1, 5);
-            cx(v, 0, 3);
-            cx(v, 2, 5);
-            cx(v, 1, 3);
-            cx(v, 2, 4);
-            cx(v, 2, 3);
-        }
-        8 => {
-            cx(v, 0, 1);
-            cx(v, 2, 3);
-            cx(v, 4, 5);
-            cx(v, 6, 7);
-            cx(v, 0, 2);
-            cx(v, 1, 3);
-            cx(v, 4, 6);
-            cx(v, 5, 7);
-            cx(v, 1, 2);
-            cx(v, 5, 6);
-            cx(v, 0, 4);
-            cx(v, 3, 7);
-            cx(v, 1, 5);
-            cx(v, 2, 6);
-            cx(v, 1, 4);
-            cx(v, 3, 6);
-            cx(v, 2, 4);
-            cx(v, 3, 5);
-            cx(v, 3, 4);
-        }
-        // lint:allow(no-panic-lib): sort_small dispatch is exhaustive for n <= 8 by construction (debug_assert upstream)
-        _ => unreachable!("sort_small is only called for n <= 8"),
     }
 }
 

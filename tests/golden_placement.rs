@@ -1,21 +1,25 @@
 //! Golden pin: the global-placement result of two small built-in circuits
 //! is fixed bit for bit, at every thread count.
 //!
-//! The fingerprints below were computed before the density kernel was
-//! fused (per-rect splat and gather). Any later rewrite of a hot kernel
-//! must reproduce them exactly; a change that is meant to move the
-//! placement must update them and say why.
+//! The first three fingerprints were computed before the density kernel
+//! was fused (per-rect splat and gather), the `newblue2` one before the
+//! Moreau lane kernel and the two-pass wirelength evaluation. Any later
+//! rewrite of a hot kernel must reproduce them exactly; a change that is
+//! meant to move the placement must update them and say why.
 
 use mep_serve::placement_fingerprint;
 use moreau_placer::netlist::synth;
 use moreau_placer::placer::global::{place, GlobalConfig};
 
 /// `(circuit, GP iteration cap, GP placement fingerprint)`. `newblue1`
-/// has enough movable cells for the density kernel's parallel path.
-const PINNED: [(&str, usize, u64); 3] = [
+/// has enough movable cells for the density kernel's parallel path;
+/// `newblue2` (4,652 nets) is the smallest with enough nets for the
+/// wirelength evaluator's parallel path (4,096).
+const PINNED: [(&str, usize, u64); 4] = [
     ("smoke", 200, 0xa567b7da1fb3c95d),
     ("ispd19_test5", 200, 0xa299a4191451f3a9),
     ("newblue1", 40, 0x819ee73664871081),
+    ("newblue2", 40, 0x2612faa6fad6feec),
 ];
 
 fn fingerprint(name: &str, max_iters: usize, threads: usize) -> u64 {
